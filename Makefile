@@ -2,7 +2,7 @@
 
 .PHONY: all test lint analyze bench-smoke bench bench-compare report \
         batch cache-smoke kernel-smoke serve serve-smoke hb-smoke \
-        coverage clean
+        perfbench-test coverage clean
 
 all:
 	dune build
@@ -96,6 +96,11 @@ serve-smoke:
 # op, solver counters on the trace, hb-newton fault ladder.
 hb-smoke:
 	dune build @hb-smoke
+
+# Unit tests of the end-to-end benchmark's statistics and spread code
+# (perfbench/test_*.py; stdlib Python only).
+perfbench-test:
+	python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 # Coverage (requires bisect_ppx, not part of the default environment):
 #   opam install bisect_ppx

@@ -899,8 +899,8 @@ let batch_cmd =
       | Ok outcome -> Api.scenario_entry ~file outcome
       | Error e ->
         Printf.sprintf {|{"file":"%s","status":"error","error":"%s"}|}
-          (Check.Diagnostic.json_escape file)
-          (Check.Diagnostic.json_escape (Resilience.Oshil_error.to_string e))
+          (Json.escape file)
+          (Json.escape (Resilience.Oshil_error.to_string e))
     in
     let count p = Array.length (Array.of_seq (Seq.filter p (Array.to_seq outcomes))) in
     let n_ok = count (function Ok (Api.Scn_ok _) -> true | _ -> false) in

@@ -1,4 +1,3 @@
-module Json = Json
 module Request = Request
 module Oshil_error = Resilience.Oshil_error
 module Deadline = Resilience.Deadline
@@ -375,7 +374,7 @@ let scenario_outcome_of (s, parse_diags) =
     Scn_ok
       (Printf.sprintf
          {|"status":"ok","osc":"%s","n":%d,"vi":%s,"natural_amplitude":%s,"locks_at_center":%d,"stable_locks":%d,"lock_range":{"phi_d_max":%s,"f_inj_low":%s,"f_inj_high":%s,"delta_f_inj":%s},"grid_holes":%d|}
-         (D.json_escape s.osc) s.n (jf s.vi)
+         (Json.escape s.osc) s.n (jf s.vi)
          (match report.natural_amplitude with
          | Some a -> jf a
          | None -> "null")
@@ -394,7 +393,7 @@ let scenario_file_outcome file =
 let scenario_entry ~file outcome =
   match outcome with
   | Scn_ok b | Scn_lint_error b ->
-    Printf.sprintf {|{"file":"%s",%s}|} (Check.Diagnostic.json_escape file) b
+    Printf.sprintf {|{"file":"%s",%s}|} (Json.escape file) b
 
 (* --- lint ----------------------------------------------------------- *)
 
@@ -430,7 +429,7 @@ let lint_text ~name text =
 let lint_entry ~file ds =
   let module D = Check.Diagnostic in
   Printf.sprintf {|{"file":"%s","errors":%d,"warnings":%d,"diagnostics":%s}|}
-    (D.json_escape file)
+    (Json.escape file)
     (D.count_severity D.Error ds)
     (D.count_severity D.Warning ds)
     (D.list_to_json ds)

@@ -13,7 +13,6 @@
     catch all of these and return a typed outcome instead; they never
     raise. *)
 
-module Json = Json
 module Request = Request
 
 (* --- oscillators ---------------------------------------------------- *)

@@ -34,9 +34,6 @@ val pp : Format.formatter -> t -> unit
 
 val pp_report : Format.formatter -> t list -> unit
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal. *)
-
 val to_json : t -> string
 val list_to_json : t list -> string
 (** Machine-readable rendering for [oshil lint --json]. *)

@@ -23,39 +23,31 @@ let host_meta () =
   @ opt "git_rev" (Sys.getenv_opt "OSHIL_GIT_REV")
   @ opt "dsa_findings" (Sys.getenv_opt "OSHIL_DSA_FINDINGS")
 
+(* nan is null; infinities are the out-of-range literals [1e999] /
+   [-1e999] that {!Json.parse} reads back as infinity (the same
+   convention as the trace sink). *)
 let json_float x =
   if Float.is_nan x then "null"
   else if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.1f" x
+  else if not (Float.is_finite x) then if x > 0. then "1e999" else "-1e999"
   else Printf.sprintf "%.9g" x
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_json e =
   let fields =
     [
-      Printf.sprintf "\"name\": \"%s\"" (escape e.name);
+      Printf.sprintf "\"name\": \"%s\"" (Json.escape e.name);
       Printf.sprintf "\"jobs\": %d" e.jobs;
       Printf.sprintf "\"wall_s\": %s" (json_float e.wall_s);
       Printf.sprintf "\"speedup_vs_seq\": %s" (json_float e.speedup_vs_seq);
     ]
     @ List.map
-        (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) (json_float v))
+        (fun (k, v) ->
+          Printf.sprintf "\"%s\": %s" (Json.escape k) (json_float v))
         e.extra
     @ List.map
-        (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" (escape k) (escape v))
+        (fun (k, v) ->
+          Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v))
         e.meta
   in
   "{\n  " ^ String.concat ",\n  " fields ^ "\n}\n"
@@ -67,113 +59,32 @@ let write ~path e =
     (fun () -> output_string oc (to_json e))
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON-object parser: a flat object of string / number / null
-   values, which is exactly the schema emitted above. Used by the
+(* Reading a record back: the shared parser, then a flat object whose
+   fields are strings or numbers (null standing for nan). Used by the
    bench-smoke target and the tests to verify the emitted files parse. *)
 
 exception Parse_error of string
 
 let parse text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
+  let fields =
+    match Json.parse text with
+    | Ok (Obj fields) -> fields
+    | Ok _ -> raise (Parse_error "expected a JSON object")
+    | Error msg -> raise (Parse_error msg)
   in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail (Printf.sprintf "expected %C" c)
+  let fields =
+    List.map
+      (fun (k, (v : Json.t)) ->
+        match v with
+        | Str s -> (k, `String s)
+        | Num f -> (k, `Float f)
+        | Null -> (k, `Float Float.nan)
+        | Bool _ | List _ | Obj _ ->
+          raise
+            (Parse_error
+               (Printf.sprintf "field %S: expected a string or a number" k)))
+      fields
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else begin
-        let c = text.[!pos] in
-        incr pos;
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' ->
-          if !pos >= n then fail "unterminated escape";
-          let e = text.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-            if !pos + 4 > n then fail "bad \\u escape";
-            (* decode only for validation; emitted names are ASCII *)
-            let hex = String.sub text !pos 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | _ -> fail "unsupported escape");
-          go ()
-        | c -> Buffer.add_char b c; go ()
-      end
-    in
-    go ()
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> `String (parse_string ())
-    | Some ('-' | '0' .. '9') ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match text.[!pos] with
-           | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true
-           | _ -> false)
-      do
-        incr pos
-      done;
-      (match float_of_string_opt (String.sub text start (!pos - start)) with
-      | Some f -> `Float f
-      | None -> fail "bad number")
-    | Some 'n' ->
-      if !pos + 4 <= n && String.sub text !pos 4 = "null" then begin
-        pos := !pos + 4;
-        `Float Float.nan
-      end
-      else fail "expected null"
-    | _ -> fail "expected value"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' -> incr pos; members ()
-      | Some '}' -> incr pos
-      | _ -> fail "expected ',' or '}'"
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  let fields = List.rev !fields in
   let find k =
     match List.assoc_opt k fields with
     | Some v -> v

@@ -20,8 +20,8 @@
     [newton_iters]); string fields land in [meta] (host context from
     {!host_meta}).
 
-    [parse] / [read] implement just enough JSON (a flat object of
-    strings and numbers) to round-trip that schema, so CI can verify the
+    [parse] / [read] read a record back through {!Json.parse} and
+    accept a flat object of strings and numbers, so CI can verify the
     emitted files without external dependencies. *)
 
 type entry = {
@@ -49,7 +49,8 @@ val to_json : entry -> string
 val write : path:string -> entry -> unit
 
 val parse : string -> entry
-(** Raises {!Parse_error} on malformed input or missing required
-    fields. NaN round-trips as JSON [null]. *)
+(** Raises {!Parse_error} on malformed input, a field that is neither
+    a string nor a number, or a missing required field. NaN round-trips
+    as JSON [null], infinities as [1e999] / [-1e999]. *)
 
 val read : path:string -> entry

@@ -15,9 +15,6 @@
 
     File sinks create missing parent directories. *)
 
-val escape : string -> string
-(** JSON string-body escaping shared by the sinks and {!Report}. *)
-
 val chrome_trace : path:string -> Registry.snapshot -> unit
 val chrome_trace_string : Registry.snapshot -> string
 

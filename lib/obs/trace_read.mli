@@ -13,22 +13,12 @@
 exception Parse_error of string
 (** Raised with a [file:line: reason] message on malformed input. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val json_of_string : string -> json
-(** Parse one complete JSON value; raises {!Parse_error} on malformed
-    input or trailing garbage. Exposed for tests that validate the
-    Chrome-trace sink output is well-formed JSON. *)
-
 val load : string -> Registry.snapshot
-(** Load one JSONL trace file. Raises {!Parse_error} on malformed
-    lines and [Sys_error] if the file cannot be read. *)
+(** Load one JSONL trace file. Each line must be one strict RFC 8259
+    value ({!Json.parse}: no raw control characters in strings, no
+    leading [+] on numbers, nesting at most 256 deep). Raises
+    {!Parse_error} on malformed lines and [Sys_error] if the file
+    cannot be read. *)
 
 val load_many : string list -> Registry.snapshot
 (** Load and merge several JSONL trace files. *)

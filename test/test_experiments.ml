@@ -26,8 +26,18 @@ let test_bench_json_meta_round_trip () =
       jobs = 4;
       wall_s = 0.25;
       speedup_vs_seq = 2.0;
-      extra = [ ("newton_iters", 128.0) ];
-      meta = [ ("host_domains", "8"); ("ocaml_version", "5.1.1") ];
+      extra =
+        [
+          ("newton_iters", 128.0);
+          ("worst_ratio", Float.infinity);
+          ("best_ratio", Float.neg_infinity);
+        ];
+      meta =
+        [
+          ("host_domains", "8");
+          ("ocaml_version", "5.1.1");
+          ("path", "a\rb\tc/d");
+        ];
     }
   in
   let back =
@@ -37,7 +47,17 @@ let test_bench_json_meta_round_trip () =
   Alcotest.(check (list (pair string (float 0.0))))
     "extra" entry.extra back.Experiments.Bench_json.extra;
   Alcotest.(check (list (pair string string)))
-    "meta preserved" entry.meta back.Experiments.Bench_json.meta
+    "meta preserved" entry.meta back.Experiments.Bench_json.meta;
+  (* escapes a hand-edited record may carry: a non-ASCII \u escape
+     decodes to UTF-8, an escaped solidus to '/' *)
+  let hand =
+    Experiments.Bench_json.parse
+      {|{"name": "x", "jobs": 1, "wall_s": 1.0, "speedup_vs_seq": 1.0,
+         "host": "caf\u00e9 a\/b"}|}
+  in
+  Alcotest.(check (list (pair string string)))
+    "\\u00e9 decodes to UTF-8" [ ("host", "caf\xc3\xa9 a/b") ]
+    hand.Experiments.Bench_json.meta
 
 let test_bench_json_host_meta () =
   let meta = Experiments.Bench_json.host_meta () in

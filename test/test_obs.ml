@@ -172,22 +172,21 @@ let test_jsonl_merge_sums_counters () =
 
 let test_chrome_trace_is_json () =
   let s = populate () in
-  match Obs.Trace_read.json_of_string (Obs.Sink.chrome_trace_string s) with
-  | Obs.Trace_read.Obj fields ->
+  match Json.parse (Obs.Sink.chrome_trace_string s) with
+  | Ok (Json.Obj fields) ->
     Alcotest.(check bool) "has traceEvents" true
       (List.mem_assoc "traceEvents" fields);
     let events =
       match List.assoc "traceEvents" fields with
-      | Obs.Trace_read.Arr l -> l
+      | Json.List l -> l
       | _ -> Alcotest.fail "traceEvents is not an array"
     in
     let span_names =
       List.filter_map
         (function
-          | Obs.Trace_read.Obj ev -> begin
+          | Json.Obj ev -> begin
             match (List.assoc_opt "ph" ev, List.assoc_opt "name" ev) with
-            | Some (Obs.Trace_read.Str "X"), Some (Obs.Trace_read.Str n) ->
-              Some n
+            | Some (Json.Str "X"), Some (Json.Str n) -> Some n
             | _ -> None
           end
           | _ -> None)
@@ -195,7 +194,41 @@ let test_chrome_trace_is_json () =
     in
     Alcotest.(check (list string))
       "complete events in order" [ "rt.outer"; "rt.inner" ] span_names
-  | _ -> Alcotest.fail "chrome trace is not a JSON object"
+  | Ok _ -> Alcotest.fail "chrome trace is not a JSON object"
+  | Error msg -> Alcotest.failf "chrome trace is not JSON: %s" msg
+
+(* The trace reader is held to the same strict parser as daemon
+   requests: a depth bomb, a raw control character and a [+3] number
+   must each be refused with the file:line prefix, not accepted (or,
+   for the bomb, overflow the stack). *)
+let test_jsonl_rejects_hostile_lines () =
+  (* each line is a counter record the reader would otherwise take *)
+  let counter ~name ~extra =
+    Printf.sprintf {|{"type":"counter","name":"%s","value":1%s}|} name extra
+  in
+  let deep = String.make 100_000 '[' ^ "1" ^ String.make 100_000 ']' in
+  List.iter
+    (fun (what, line) ->
+      with_temp_file ".jsonl" (fun path ->
+          let oc = open_out_bin path in
+          output_string oc
+            ({|{"type":"meta","version":1,"clock":"monotonic"}|} ^ "\n"
+           ^ line ^ "\n");
+          close_out oc;
+          let prefix = path ^ ":2: " in
+          match Obs.Trace_read.load path with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Obs.Trace_read.Parse_error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S carries the file:line prefix" what msg)
+              true
+              (String.length msg > String.length prefix
+              && String.sub msg 0 (String.length prefix) = prefix)))
+    [
+      ("100k-deep nesting", counter ~name:"a" ~extra:(",\"x\":" ^ deep));
+      ("raw control character", counter ~name:"a\x01b" ~extra:"");
+      ("leading plus", {|{"type":"counter","name":"a","value":+3}|});
+    ]
 
 let test_summary_headline_counters () =
   let s = Obs.snapshot () in
@@ -473,6 +506,8 @@ let () =
             (fresh test_jsonl_merge_sums_counters);
           Alcotest.test_case "chrome trace is well-formed JSON" `Quick
             (fresh test_chrome_trace_is_json);
+          Alcotest.test_case "jsonl rejects hostile lines" `Quick
+            (fresh test_jsonl_rejects_hostile_lines);
           Alcotest.test_case "summary shows headline counters" `Quick
             (fresh test_summary_headline_counters);
         ] );

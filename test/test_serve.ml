@@ -6,7 +6,6 @@
    throwaway temp directory and talk to it over the wire — the same
    code path `oshil serve` / `oshil call` exercise. *)
 
-module Json = Api.Json
 module Request = Api.Request
 module Deadline = Resilience.Deadline
 module Server = Serve.Server

@@ -55,7 +55,7 @@ let () =
     let entry (f, ds) =
       Printf.sprintf
         {|{"file":"%s","errors":%d,"warnings":%d,"diagnostics":%s}|}
-        (D.json_escape f)
+        (Json.escape f)
         (D.count_severity D.Error ds)
         (D.count_severity D.Warning ds)
         (D.list_to_json ds)
