@@ -27,8 +27,10 @@ let default =
   }
 
 let nonlinearity p =
-  let params v = Spice.Device.tunnel_iv p.tunnel v in
-  Shil.Nonlinearity.tunnel_diode ~params ~bias:p.vbias ()
+  let { Spice.Device.is; eta; vth; r0; v0; m } = p.tunnel in
+  Shil.Nonlinearity.tunnel_diode
+    ~params:{ Shil.Nonlinearity.is; eta; vth; r0; v0; m }
+    ~bias:p.vbias ()
 
 let extraction_fv ?(v_span = 0.6) ?(steps = 240) p =
   let circuit v =

@@ -163,6 +163,13 @@ let find_all ?(tol = 1e-12) ~f ~a ~b ~n () =
   in
   List.filter_map refine (bracket_roots ~f ~a ~b ~n)
 
+(* Stall exit: once the best residual has not halved over the last
+   [stall_window] iterations, the iteration is slower than Newton's worst
+   case at a reachable root (linear, error ratio 1/2, at a simple fold),
+   so the nearest "root" is a residual minimum that is not zero — e.g. a
+   lock-range probe just past the saddle-node edge. *)
+let stall_window = 5
+
 let newton2d ?(tol = 1e-10) ?(max_iter = 60) ?ectx ~f ~x0 () =
   if Resilience.Fault.fire "roots-fail" then
     raise (No_convergence "newton2d: injected fault (roots-fail)");
@@ -184,16 +191,30 @@ let newton2d ?(tol = 1e-10) ?(max_iter = 60) ?ectx ~f ~x0 () =
   in
   let x = ref (fst x0) and y = ref (snd x0) in
   let result = ref None in
+  let stalled = ref false in
   let k = ref 0 in
   let last_res = ref infinity in
+  let best = ref infinity in
+  (* [best_hist.(k mod stall_window)] holds the best residual as of
+     iteration [k - stall_window] until iteration [k] overwrites it *)
+  let best_hist = Array.make stall_window infinity in
   let res_norm (r1, r2) = Float.max (Float.abs r1) (Float.abs r2) in
-  while !result = None && !k < max_iter do
+  while !result = None && (not !stalled) && !k < max_iter do
     incr k;
     let r1, r2 = f (!x, !y) in
     last_res := res_norm (r1, r2);
+    best := Float.min !best !last_res;
+    let slot = !k mod stall_window in
+    let stall = !k > stall_window && !best > 0.5 *. best_hist.(slot) in
+    best_hist.(slot) <- !best;
     if res_norm (r1, r2) < tol then begin
       emit_iter !k (res_norm (r1, r2)) 0.0 1.0;
       result := Some (!x, !y)
+    end
+    else if stall then begin
+      emit_iter !k !last_res 0.0 1.0;
+      Obs.Metrics.incr "numerics.newton2d.stalls";
+      stalled := true
     end
     else begin
       let hx = 1e-7 *. (1.0 +. Float.abs !x) in
@@ -232,12 +253,19 @@ let newton2d ?(tol = 1e-10) ?(max_iter = 60) ?ectx ~f ~x0 () =
     emit_done !k true !last_res;
     r
   | None ->
-    let r1, r2 = f (!x, !y) in
-    if res_norm (r1, r2) < sqrt tol then begin
-      emit_done !k true (res_norm (r1, r2));
+    let res = res_norm (f (!x, !y)) in
+    if res < sqrt tol then begin
+      emit_done !k true res;
       (!x, !y)
     end
     else begin
-      emit_done !k false (res_norm (r1, r2));
-      raise (No_convergence "newton2d")
+      emit_done !k false res;
+      raise
+        (No_convergence
+           (if !stalled then
+              Printf.sprintf
+                "newton2d: stalled (best residual %g not halved in %d \
+                 iterations)"
+                !best stall_window
+            else "newton2d"))
     end

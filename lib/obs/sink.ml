@@ -158,12 +158,12 @@ let jsonl_string (s : Registry.snapshot) =
     s.counters;
   List.iter
     (fun (k, v) ->
-      line {|{"type":"gauge","name":"%s","value":%.17g}|} (Json.escape k) v)
+      line {|{"type":"gauge","name":"%s","value":%s}|} (Json.escape k) (jnum v))
     s.gauges;
   List.iter
     (fun (k, bounds, counts) ->
       let floats a =
-        String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list a))
+        String.concat "," (List.map jnum (Array.to_list a))
       in
       let ints a =
         String.concat "," (List.map string_of_int (Array.to_list a))

@@ -158,7 +158,7 @@ let decode_line acc line =
       Hashtbl.replace acc.counters name (prev + v)
     | Some "gauge" ->
       let name = require "gauge name" (str_field "name" fields) in
-      let v = require "gauge value" (num_field "value" fields) in
+      let v = require "gauge value" (fnum_field "value" fields) in
       (* Cross-file gauge lines carry no clock, so "last write" would
          depend on the order the files were passed in; taking the max
          keeps the merge independent of input order. *)

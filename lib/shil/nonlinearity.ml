@@ -102,12 +102,24 @@ let cubic ~g1 ~g3 =
   in
   { name = "cubic"; key; f; df; batch = Some batch; batch_fast = None; odd = true }
 
+type tunnel_params = {
+  is : float;
+  eta : float;
+  vth : float;
+  r0 : float;
+  v0 : float;
+  m : float;
+}
+
 (* Paper appendix §VI-C model (same constants as Spice.Device.paper_tunnel;
    duplicated here so the core theory library stays independent of the
    circuit simulator). *)
-let paper_tunnel_iv v =
-  let is = 1e-12 and eta = 1.0 and vth = 0.025 in
-  let r0 = 1000.0 and v0 = 0.2 and m = 2.0 in
+let paper_tunnel =
+  { is = 1e-12; eta = 1.0; vth = 0.025; r0 = 1000.0; v0 = 0.2; m = 2.0 }
+
+(* The operations and their order match Spice.Device.tunnel_iv, so the
+   circuit's diode and this nonlinearity agree bit for bit. *)
+let tunnel_iv { is; eta; vth; r0; v0; m } v =
   let powm = Float.pow (Float.abs (v /. v0)) m in
   let e = exp (-.powm) in
   let i_tun = v /. r0 *. e in
@@ -120,12 +132,10 @@ let paper_tunnel_iv v =
   let g_d = is *. dex /. (eta *. vth) in
   (i_tun +. i_d, g_tun +. g_d)
 
-(* Current-only half of [paper_tunnel_iv], fused over a slice: identical
+(* Current-only half of [tunnel_iv], fused over a slice: identical
    subexpressions in identical order, skipping only the conductance
    terms (which cannot change the current bits) and the result tuple. *)
-let paper_tunnel_batch ~bias ~i0 ~src ~dst ~n =
-  let is = 1e-12 and eta = 1.0 and vth = 0.025 in
-  let r0 = 1000.0 and v0 = 0.2 and m = 2.0 in
+let tunnel_batch { is; eta; vth; r0; v0; m } ~bias ~i0 ~src ~dst ~n =
   let cap = 40.0 in
   for idx = 0 to n - 1 do
     let v = bias +. src.(idx) in
@@ -138,25 +148,24 @@ let paper_tunnel_batch ~bias ~i0 ~src ~dst ~n =
     dst.(idx) <- (i_tun +. i_d) -. i0
   done
 
-let tunnel_diode ?params ~bias () =
-  (* only the paper's built-in model gets an identity: a caller-supplied
-     [params] closure has no canonical description, so the result is
-     uncacheable rather than wrongly shared; likewise only the built-in
-     model gets the fused batch loop *)
-  let params, key, builtin =
-    match params with
-    | None ->
-      (paper_tunnel_iv, Some (Printf.sprintf "tunnel_paper(bias=%h)" bias), true)
-    | Some p -> (p, None, false)
+let tunnel_diode ?(params = paper_tunnel) ~bias () =
+  (* the six model parameters and the bias determine every current bit,
+     so they are the whole identity *)
+  let { is; eta; vth; r0; v0; m } = params in
+  let key =
+    Printf.sprintf "tunnel(is=%h,eta=%h,vth=%h,r0=%h,v0=%h,m=%h,bias=%h)" is
+      eta vth r0 v0 m bias
   in
-  let i0, _ = params bias in
-  let f v = fst (params (bias +. v)) -. i0 in
-  let df v = snd (params (bias +. v)) in
-  let batch =
-    if builtin then Some (fun ~src ~dst ~n -> paper_tunnel_batch ~bias ~i0 ~src ~dst ~n)
-    else None
-  in
-  { name = "tunnel_diode"; key; f; df; batch; batch_fast = None; odd = false }
+  let i0, _ = tunnel_iv params bias in
+  {
+    name = "tunnel_diode";
+    key = Some key;
+    f = (fun v -> fst (tunnel_iv params (bias +. v)) -. i0);
+    df = (fun v -> snd (tunnel_iv params (bias +. v)));
+    batch = Some (fun ~src ~dst ~n -> tunnel_batch params ~bias ~i0 ~src ~dst ~n);
+    batch_fast = None;
+    odd = false;
+  }
 
 let of_table ?(name = "table") ~vs ~is () =
   let itp = Interp.pchip ~xs:vs ~ys:is in

@@ -331,9 +331,22 @@ let test_nonlinearity_keys () =
   Alcotest.(check (option string)) "custom closures are uncacheable" None
     (k (make (fun v -> -.v)));
   Alcotest.(check (option string)) "custom tunnel params are uncacheable" None
-    (k (tunnel_diode ~params:(fun v -> (v, 1.0)) ~bias:0.1 ()));
+    (k (make ~name:"tunnel_diode" (fun v -> v /. 1e3)));
   Alcotest.(check bool) "default tunnel model is cacheable" true
     (k (tunnel_diode ~bias:0.1 ()) <> None);
+  same (tunnel_diode ~bias:0.1 ())
+    (tunnel_diode ~params:{ paper_tunnel with m = 2.0 } ~bias:0.1 ());
+  distinct (tunnel_diode ~bias:0.1 ()) (tunnel_diode ~bias:0.2 ());
+  List.iter
+    (fun params -> distinct (tunnel_diode ~bias:0.1 ()) (tunnel_diode ~params ~bias:0.1 ()))
+    [
+      { paper_tunnel with is = 2e-12 };
+      { paper_tunnel with eta = 1.1 };
+      { paper_tunnel with vth = 0.026 };
+      { paper_tunnel with r0 = 900.0 };
+      { paper_tunnel with v0 = 0.21 };
+      { paper_tunnel with m = 2.5 };
+    ];
   let t1 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 1e-3 |] () in
   let t2 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 1e-3 |] () in
   let t3 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 2e-3 |] () in

@@ -323,6 +323,55 @@ let test_newton2d () =
   check_float ~eps:1e-8 "2d x" (sqrt 2.0) x;
   check_float ~eps:1e-8 "2d y" (sqrt 2.0) y
 
+(* Run [f] with telemetry on and return the named counter's value. *)
+let with_counter name f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+    (fun () ->
+      f ();
+      Obs.Metrics.counter_value name)
+
+let test_newton2d_no_root_stalls () =
+  (* (x^2 + 1e-3, y) has a residual minimum of 1e-3 but no root — the
+     shape of a lock-range probe just past the saddle-node edge. The stall
+     exit must still fail, long before the 60-iteration cap: 60 iterations
+     cost at least 180 f calls (residual plus two Jacobian columns each). *)
+  let calls = ref 0 in
+  let f (x, y) =
+    incr calls;
+    ((x *. x) +. 1e-3, y)
+  in
+  let stalls =
+    with_counter "numerics.newton2d.stalls" (fun () ->
+        match Roots.newton2d ~f ~x0:(1.0, 0.5) () with
+        | _ -> Alcotest.fail "converged on a residual minimum"
+        | exception Roots.No_convergence msg ->
+          Alcotest.(check bool)
+            ("message names the stall: " ^ msg)
+            true
+            (String.starts_with ~prefix:"newton2d: stalled" msg))
+  in
+  Alcotest.(check int) "one stall counted" 1 stalls;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d f calls, at most half of 180" !calls)
+    true (!calls <= 90)
+
+let test_newton2d_fold_converges () =
+  (* (x^2, y): a double root, where Newton's error only halves per step —
+     the slowest convergence at a simple fold — and still converges *)
+  let f (x, y) = (x *. x, y) in
+  let stalls =
+    with_counter "numerics.newton2d.stalls" (fun () ->
+        let x, y = Roots.newton2d ~f ~x0:(1.0, 0.5) () in
+        Alcotest.(check bool) "x^2 below tol" true (x *. x < 1e-10);
+        check_float ~eps:1e-10 "y" 0.0 y)
+  in
+  Alcotest.(check int) "no stall" 0 stalls
+
 let prop_brent_polynomial =
   qtest ~count:100 "brent: root of (x-r)(x+r+1)"
     QCheck.(float_range 0.1 5.0)
@@ -541,6 +590,10 @@ let () =
           Alcotest.test_case "no bracket" `Quick test_no_bracket;
           Alcotest.test_case "find_all sin" `Quick test_find_all_sin;
           Alcotest.test_case "newton2d" `Quick test_newton2d;
+          Alcotest.test_case "newton2d stalls on a no-root minimum" `Quick
+            test_newton2d_no_root_stalls;
+          Alcotest.test_case "newton2d converges at a fold" `Quick
+            test_newton2d_fold_converges;
           prop_brent_polynomial;
         ] );
       ( "interp",

@@ -156,6 +156,22 @@ let test_jsonl_round_trip () =
           Alcotest.(check (array int)) "hist counts" counts counts')
         s.Obs.Registry.hists back.Obs.Registry.hists)
 
+(* A non-finite gauge (a ratio over an empty run, say) must still write a
+   strict-JSON line that reads back as the same value. *)
+let test_jsonl_nonfinite_gauges () =
+  Obs.set_enabled true;
+  Obs.Metrics.set_gauge "t.pos_inf" Float.infinity;
+  Obs.Metrics.set_gauge "t.neg_inf" Float.neg_infinity;
+  Obs.Metrics.set_gauge "t.nan" Float.nan;
+  let s = Obs.snapshot () in
+  with_temp_file ".jsonl" (fun path ->
+      Obs.Sink.jsonl ~path s;
+      let back = Obs.Trace_read.load path in
+      let g name = List.assoc name back.Obs.Registry.gauges in
+      Alcotest.(check (float 0.0)) "+inf" Float.infinity (g "t.pos_inf");
+      Alcotest.(check (float 0.0)) "-inf" Float.neg_infinity (g "t.neg_inf");
+      Alcotest.(check bool) "nan" true (Float.is_nan (g "t.nan")))
+
 let test_jsonl_merge_sums_counters () =
   let s = populate () in
   with_temp_file ".jsonl" (fun path ->
@@ -502,6 +518,8 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip" `Quick
             (fresh test_jsonl_round_trip);
+          Alcotest.test_case "jsonl non-finite gauges round-trip" `Quick
+            (fresh test_jsonl_nonfinite_gauges);
           Alcotest.test_case "jsonl multi-file merge" `Quick
             (fresh test_jsonl_merge_sums_counters);
           Alcotest.test_case "chrome trace is well-formed JSON" `Quick

@@ -541,6 +541,28 @@ let test_lock_range_no_lock () =
   let b = Lock_range.phi_d_boundary ~tol:1e-4 g in
   Alcotest.(check bool) "tiny injection -> tiny range" true (b < 0.01)
 
+let test_lock_range_diffpair_pinned () =
+  (* the diff-pair cell at the paper's point (n = 3, |V_i| = 0.03 V):
+     probes just past the saddle-node edge refine crossings of the grid's
+     interpolated curves where no root exists. Newton's stall exit must
+     fail them cheaply — the same 6 failures, the same edge bits — where
+     running them to the 60-iteration cap took 4023 I_1 evaluations *)
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+  @@ fun () ->
+  let osc = Api.resolve_oscillator (Api.Request.Builtin "diffpair") in
+  let rep = Api.shil_run ~osc ~n:3 ~vi:0.03 ~reduced:false in
+  let counter = Obs.Metrics.counter_value in
+  Alcotest.(check int) "refine_fails" 6 (counter "shil.solutions.refine_fails");
+  Alcotest.(check int64) "phi_d_max bits" 4599182757025388955L
+    (Int64.bits_of_float rep.lock_range.phi_d_max);
+  let i1 = counter "shil.df.i1_evals" in
+  Alcotest.(check bool) (Printf.sprintf "i1_evals %d <= 1100" i1) true (i1 <= 1100)
+
 (* ------------------------------------------------------------------ *)
 (* FHIL / Adler baseline *)
 
@@ -839,6 +861,8 @@ let () =
           Alcotest.test_case "predict" `Quick test_lock_range_predict;
           Alcotest.test_case "r mismatch" `Quick test_lock_range_r_mismatch;
           Alcotest.test_case "tiny injection" `Quick test_lock_range_no_lock;
+          Alcotest.test_case "diffpair edge refines stall cheaply" `Quick
+            test_lock_range_diffpair_pinned;
         ] );
       ( "harmonic_balance",
         [
